@@ -21,10 +21,8 @@
 //! already existed before the tier.
 
 use std::collections::HashMap;
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, TcpListener};
 use std::sync::{mpsc, Arc};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::aggregator::{AggregatorConfig, AggregatorEngine};
@@ -33,16 +31,22 @@ use crate::driver::{DeliveryConfig, DeliveryMode};
 use crate::error::CludiError;
 use crate::protocol::{Frame, ReliableSender};
 use crate::runtime::control::{Control, RejectCode, PROTOCOL_VERSION};
-use crate::runtime::liveness::RoundMachine;
-use crate::runtime::tcp::{
-    connect, read_loop, send_control, validate_socket, write_payload, Conn, NetEvent, SocketConfig,
+use crate::runtime::link::{
+    events, send_control, spawn_acceptor, write_payload, Conn, Inbound, NetEvent, Uplink,
+    UplinkSpec,
 };
+use crate::runtime::liveness::RoundMachine;
+use crate::runtime::tcp::{validate_socket, SocketConfig};
 use crate::serving::ModelSnapshot;
 use cludistream_gmm::CovarianceType;
 use cludistream_obs::{intern, net, Event, FleetAggregator, Obs, Recorder, TelemetryDelta};
 use cludistream_simnet::{CommStats, NodeId};
-use cludistream_wire::framing::FrameReader;
 use cludistream_wire::{ByteBuf, ByteReader};
+
+/// Connection ids of the upward link: the `n`-th dial is
+/// `UPLINK_CONN + n`, far above the acceptor's child ids (counted from
+/// 0), so one event channel carries both directions.
+const UPLINK_CONN: u64 = 1 << 63;
 
 /// Everything one socket aggregator needs to relay a round.
 ///
@@ -307,39 +311,12 @@ pub fn run_aggregator(
         obs.clone(),
     )?;
 
-    listener.set_nonblocking(true)?;
-    let done = Arc::new(AtomicBool::new(false));
+    // One channel for both directions: the acceptor's child readers and
+    // each upward link's reader feed it.
     let (tx, rx) = mpsc::channel::<NetEvent>();
-    let acceptor = {
-        let done = Arc::clone(&done);
-        let tx = tx.clone();
-        thread::spawn(move || {
-            let mut next_conn = 0u64;
-            while !done.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nodelay(true);
-                        let conn = next_conn;
-                        next_conn += 1;
-                        let Ok(writer) = stream.try_clone() else { continue };
-                        if tx.send(NetEvent::Accepted { conn, writer }).is_err() {
-                            return;
-                        }
-                        let tx = tx.clone();
-                        thread::spawn(move || read_loop(conn, stream, &tx));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => return,
-                }
-            }
-        })
-    };
-    drop(tx);
+    let acceptor = spawn_acceptor(listener, tx.clone())?;
 
     let mut pump = Pump {
-        rx,
         agg,
         machine: RoundMachine::new(children, socket.timeout_us),
         comm: CommStats::new(),
@@ -364,15 +341,14 @@ pub fn run_aggregator(
         resyncs_down: 0,
         started_at: Instant::now(),
     };
-    let outcome = pump.run(parent_addr);
+    let outcome = pump.run(parent_addr, &tx, &rx);
 
-    // Tear down: stop accepting, cut every child socket so blocked
-    // readers exit, and collect the acceptor.
-    done.store(true, Ordering::Relaxed);
+    // Tear down: cut every child socket so blocked readers exit, and
+    // stop the acceptor.
     for c in pump.conns.values() {
         let _ = c.writer.shutdown(Shutdown::Both);
     }
-    let _ = acceptor.join();
+    acceptor.stop();
     outcome?;
 
     Ok(AggregatorReport {
@@ -404,7 +380,6 @@ pub fn run_aggregator(
 /// The aggregator event loop's state: downward serving plumbing (as in
 /// `serve`) plus the upward site-like reliable channel.
 struct Pump {
-    rx: mpsc::Receiver<NetEvent>,
     agg: AggregatorEngine,
     machine: RoundMachine,
     comm: CommStats,
@@ -441,170 +416,97 @@ impl Pump {
     }
 
     /// Connect-upward / pump / reconnect loop; `Ok(())` once the parent
-    /// says `Stop` (propagated downward) or closes after `Done`.
-    fn run(&mut self, parent_addr: &str) -> Result<(), CludiError> {
-        let mut up_reconnects = 0u32;
+    /// says `Stop` (propagated downward) or, after `Done`, the link
+    /// fails. Child events are served throughout, the parent handshake
+    /// included.
+    fn run(
+        &mut self,
+        parent_addr: &str,
+        tx: &mpsc::Sender<NetEvent>,
+        rx: &mpsc::Receiver<NetEvent>,
+    ) -> Result<(), CludiError> {
+        let spec = UplinkSpec {
+            role: "aggregator",
+            index: self.index,
+            dim: self.dim,
+            cov: self.cov,
+            telemetry: self.telemetry,
+        };
+        let (socket, obs) = (self.socket, self.obs.clone());
+        let mut up_reconnects = 0u64;
         'round: loop {
-            let up = connect(parent_addr, &self.socket)?;
-            up.set_nodelay(true)?;
-            up.set_read_timeout(Some(Duration::from_millis(20)))?;
             let resume = up_reconnects > 0;
-            {
-                let hello = Control::Hello {
-                    version: PROTOCOL_VERSION,
-                    site: self.index,
-                    dim: self.dim,
-                    cov: self.cov,
-                    resume,
-                };
-                let bytes = hello.encode();
-                net::on_ctrl_send(&self.obs, bytes.len() as u64);
-                write_payload(&up, bytes.as_slice())?;
-            }
-            let mut up_fr = FrameReader::new();
-
-            // Parent rendezvous, kept short enough that children queuing
-            // on the mpsc are not starved: the channel buffers them and
-            // the pump drains the backlog right after the Welcome.
-            let handshake_deadline =
-                Instant::now() + Duration::from_micros(self.socket.timeout_us.max(1));
-            let mut welcome = None;
-            let mut leftover: Vec<Vec<u8>> = Vec::new();
-            'handshake: while welcome.is_none() {
-                if Instant::now() > handshake_deadline {
-                    return Err(CludiError::Net(format!(
-                        "aggregator {}: parent handshake timed out",
-                        self.index
-                    )));
-                }
-                let polled = up_fr.poll(&mut { &up })?;
-                let mut frames = polled.frames.into_iter();
-                while let Some(payload) = frames.next() {
-                    if !Control::is_control(&payload) {
-                        continue;
-                    }
-                    match Control::decode(&mut ByteReader::new(&payload))? {
-                        Control::Welcome { heartbeat_us, ack, .. } => {
-                            welcome = Some((heartbeat_us, ack));
-                            leftover.extend(frames);
-                            break 'handshake;
-                        }
-                        Control::Reject { code, expect, got } => {
-                            return Err(CludiError::Net(format!(
-                                "aggregator {}: parent rejected handshake: {} mismatch \
-                                 (parent has {expect}, sent {got})",
-                                self.index,
-                                code.describe()
-                            )));
-                        }
-                        _ => {}
-                    }
-                }
-                if polled.eof {
-                    return Err(CludiError::Net(format!(
-                        "aggregator {}: parent closed during handshake",
-                        self.index
-                    )));
-                }
-            }
-            let Some((heartbeat_us, parent_ack)) = welcome else {
-                return Err(CludiError::Net(format!(
-                    "aggregator {}: no Welcome received",
-                    self.index
-                )));
-            };
-            let heartbeat = Duration::from_micros(heartbeat_us.max(1));
-            self.sender.on_ack(parent_ack);
-            let mut io_err = false;
+            let conn = UPLINK_CONN + up_reconnects;
+            let mut up = Uplink::dial(parent_addr, &socket, spec, resume, conn, tx, rx, &obs, |e| {
+                self.on_child_event(e)
+            })?;
+            self.sender.on_ack(up.ack);
             if resume {
                 // Go-back-N resync on the upward channel, exactly as a
                 // site would: the Welcome told us the parent's cumulative
                 // position; re-send everything past it now.
                 self.resyncs_up += 1;
-                self.retransmit_up(&up, &mut io_err);
+                self.retransmit_up(&mut up);
             }
 
-            up.set_read_timeout(Some(Duration::from_millis(1)))?;
-            let mut done_sent = false;
-            let mut last_ping = Instant::now();
+            // The pump never has work of its own between events: it
+            // blocks until the next child or parent frame, or until its
+            // earliest timer (heartbeat, RTO, flush, eviction, deadline).
             let mut last_flush = Instant::now();
             let mut retx_at: Option<Instant> = None;
-            let mut inbound = leftover;
-            let mut flush_flight = self.telemetry && resume;
+            let mut wake: Option<Instant> = None;
             loop {
                 if self.socket.deadline.is_some_and(|d| self.started_at.elapsed() > d) {
                     return Err(CludiError::Net("aggregator deadline exceeded".into()));
                 }
-                if io_err {
-                    break; // reconnect upward; children stay connected
-                }
                 if self.telemetry {
                     self.obs.set_sim_time(self.now_us());
                 }
-                self.drain_children()?;
-                let polled = match up_fr.poll(&mut { &up }) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        if done_sent {
-                            break 'round;
+                let (mut stop, mut closed) = (false, false);
+                for event in events(rx, wake) {
+                    match event {
+                        NetEvent::Frame { conn, payload } if conn == up.conn => {
+                            match up.on_frame(&payload, &self.obs, self.now_us()) {
+                                Some(Inbound::Stop) => stop = true,
+                                Some(Inbound::Ack(cumulative)) => {
+                                    self.sender.on_ack(cumulative);
+                                }
+                                None => {}
+                            }
                         }
-                        break; // reconnect
-                    }
-                };
-                inbound.extend(polled.frames);
-                for payload in inbound.drain(..) {
-                    if Control::is_control(&payload) {
-                        match Control::decode(&mut ByteReader::new(&payload)) {
-                            Ok(Control::Stop) => {
-                                // Propagate the round end to the subtree
-                                // before tearing down our own sockets.
-                                for c in self.conns.values() {
-                                    send_control(&c.writer, &self.obs, &Control::Stop);
-                                }
-                                break 'round;
-                            }
-                            Ok(Control::ClockProbe { t0_us }) => {
-                                let echo = Control::ClockEcho {
-                                    site: self.index,
-                                    t0_us,
-                                    site_us: self.now_us(),
-                                };
-                                if !send_control(&up, &self.obs, &echo) {
-                                    io_err = true;
-                                }
-                            }
-                            Ok(Control::Pong { echo_us, .. }) => {
-                                if self.telemetry {
-                                    self.obs.observe(
-                                        "hb.rtt_us",
-                                        self.now_us().saturating_sub(echo_us),
-                                    );
-                                }
-                            }
-                            _ => {}
-                        }
-                    } else if let Ok(Frame::Ack { cumulative }) =
-                        Frame::decode(&mut ByteReader::new(&payload))
-                    {
-                        self.sender.on_ack(cumulative);
+                        NetEvent::Closed { conn } if conn == up.conn => closed = true,
+                        event => self.on_child_event(event),
                     }
                 }
-                if polled.eof {
-                    if done_sent {
+                self.evict_silent();
+                if stop {
+                    // Propagate the round end to the subtree before
+                    // tearing down our own sockets.
+                    for c in self.conns.values() {
+                        send_control(&c.writer, &self.obs, &Control::Stop);
+                    }
+                    break 'round;
+                }
+                if closed || up.io_err {
+                    if up.done_sent && self.sender.pending() == 0 {
+                        // The parent acknowledged everything before Done
+                        // and nothing was sent upward since (a child that
+                        // rejoins after Done can add frames); a failure
+                        // now is the parent tearing down.
                         break 'round;
                     }
-                    break; // reconnect
+                    break; // reconnect upward; children stay connected
                 }
                 if self.agg.dirty() && last_flush.elapsed() >= self.flush_interval {
                     last_flush = Instant::now();
-                    self.flush_up(&up, &mut io_err, &mut retx_at);
+                    self.flush_up(&mut up, &mut retx_at);
                 }
                 if self.sender.pending() > 0 {
                     let due = *retx_at.get_or_insert_with(|| {
                         Instant::now() + Duration::from_micros(self.sender.next_timeout_us())
                     });
                     if Instant::now() >= due {
-                        self.retransmit_up(&up, &mut io_err);
+                        self.retransmit_up(&mut up);
                         retx_at = Some(
                             Instant::now()
                                 + Duration::from_micros(self.sender.next_timeout_us()),
@@ -613,34 +515,29 @@ impl Pump {
                 } else {
                     retx_at = None;
                 }
-                if self.machine.finished() && !done_sent {
+                if self.machine.finished() && !up.done_sent {
                     // Every child is done (or evicted): flush whatever
                     // is still batching, then announce Done once the
                     // parent has acknowledged everything.
                     if self.agg.dirty() {
-                        self.flush_up(&up, &mut io_err, &mut retx_at);
+                        self.flush_up(&mut up, &mut retx_at);
                     }
-                    if self.sender.pending() == 0 && !io_err {
-                        if self.telemetry {
-                            self.flush_telemetry_up(&up, &mut flush_flight, &mut io_err);
-                        }
-                        if send_control(&up, &self.obs, &Control::Done { site: self.index }) {
-                            done_sent = true;
-                        } else {
-                            io_err = true;
-                        }
+                    if self.sender.pending() == 0 && !up.io_err {
+                        up.send_done(&self.obs);
                     }
                 }
-                if last_ping.elapsed() >= heartbeat {
-                    let ping = Control::Ping { site: self.index, sent_us: self.now_us() };
-                    if !send_control(&up, &self.obs, &ping) {
-                        io_err = true;
-                    }
-                    if self.telemetry {
-                        self.flush_telemetry_up(&up, &mut flush_flight, &mut io_err);
-                    }
-                    last_ping = Instant::now();
-                }
+                up.heartbeat(&self.obs, self.now_us());
+                let at = |us: u64| self.started_at + Duration::from_micros(us);
+                wake = [
+                    Some(up.next_ping()),
+                    retx_at,
+                    self.agg.dirty().then(|| last_flush + self.flush_interval),
+                    self.machine.next_eviction_us().map(at),
+                    self.socket.deadline.map(|d| self.started_at + d),
+                ]
+                .into_iter()
+                .flatten()
+                .min();
             }
             up_reconnects += 1;
         }
@@ -648,81 +545,61 @@ impl Pump {
     }
 
     /// Sends one reduced update upward, if the engine has one due.
-    fn flush_up(&mut self, up: &TcpStream, io_err: &mut bool, retx_at: &mut Option<Instant>) {
+    fn flush_up(&mut self, up: &mut Uplink, retx_at: &mut Option<Instant>) {
         let Some(msg) = self.agg.flush() else { return };
         let frame = self.sender.send_traced(msg, None);
-        self.send_frame_up(&frame, up, io_err);
+        self.send_frame_up(&frame, up);
         *retx_at = Some(Instant::now() + Duration::from_micros(self.sender.next_timeout_us()));
     }
 
     /// Re-sends every unacknowledged upward frame (go-back-N).
-    fn retransmit_up(&mut self, up: &TcpStream, io_err: &mut bool) {
+    fn retransmit_up(&mut self, up: &mut Uplink) {
         for frame in self.sender.on_timeout() {
-            let bytes = frame.encode(self.cov);
+            let bytes = self.send_frame_up(&frame, up);
             self.retransmitted_messages += 1;
-            self.retransmitted_bytes += bytes.len() as u64;
-            net::on_send(&self.obs, bytes.len() as u64);
-            self.sent_messages += 1;
-            self.sent_bytes += bytes.len() as u64;
-            if !*io_err && write_payload(up, bytes.as_slice()).is_err() {
-                *io_err = true;
-            }
+            self.retransmitted_bytes += bytes;
         }
     }
 
-    fn send_frame_up(&mut self, frame: &Frame, up: &TcpStream, io_err: &mut bool) {
+    /// Puts one upward frame on the wire; returns its payload bytes.
+    fn send_frame_up(&mut self, frame: &Frame, up: &mut Uplink) -> u64 {
         let bytes = frame.encode(self.cov);
         net::on_send(&self.obs, bytes.len() as u64);
         self.sent_messages += 1;
         self.sent_bytes += bytes.len() as u64;
-        if !*io_err && write_payload(up, bytes.as_slice()).is_err() {
-            *io_err = true;
-        }
+        up.write(bytes.as_slice());
+        bytes.len() as u64
     }
 
-    /// Ships this node's own staged registry delta upward as site
-    /// `index`, so the parent's fleet shows `site<index>.agg.*` series.
-    fn flush_telemetry_up(&mut self, up: &TcpStream, flush_flight: &mut bool, io_err: &mut bool) {
-        let include_flight = *flush_flight;
-        let Some(mut delta) = self.obs.drain_telemetry(include_flight) else { return };
-        *flush_flight = false;
-        delta.site = self.index;
-        let frame = Control::Telemetry { site: self.index, payload: delta.encode().into_vec() };
-        if !send_control(up, &self.obs, &frame) {
-            *io_err = true;
-        }
-    }
-
-    /// Drains the child-side event channel without blocking, then runs
-    /// the eviction sweep.
-    fn drain_children(&mut self) -> Result<(), CludiError> {
-        loop {
-            match self.rx.try_recv() {
-                Ok(NetEvent::Accepted { conn, writer }) => {
-                    self.conns.insert(conn, Conn { writer, site: None });
+    /// Applies one event from the child side. Stragglers of an earlier
+    /// upward link (ids from [`UPLINK_CONN`]) are dropped.
+    fn on_child_event(&mut self, event: NetEvent) {
+        match event {
+            NetEvent::Accepted { conn, writer } => {
+                self.conns.insert(conn, Conn { writer, site: None });
+            }
+            NetEvent::Frame { conn, .. } | NetEvent::Closed { conn } if conn >= UPLINK_CONN => {}
+            NetEvent::Frame { conn, payload } => {
+                let now_us = self.now_us();
+                if self.fleet.is_some() {
+                    self.obs.set_sim_time(now_us);
                 }
-                Ok(NetEvent::Frame { conn, payload }) => {
-                    let now_us = self.now_us();
-                    if self.fleet.is_some() {
-                        self.obs.set_sim_time(now_us);
-                    }
-                    self.on_child_frame(&payload, conn, now_us);
-                }
-                Ok(NetEvent::Closed { conn }) => {
-                    if let Some(c) = self.conns.remove(&conn) {
-                        if let Some(s) = c.site {
-                            if self.child_conn[s] == Some(conn) {
-                                self.child_conn[s] = None;
-                            }
+                self.on_child_frame(&payload, conn, now_us);
+            }
+            NetEvent::Closed { conn } => {
+                if let Some(c) = self.conns.remove(&conn) {
+                    if let Some(s) = c.site {
+                        if self.child_conn[s] == Some(conn) {
+                            self.child_conn[s] = None;
                         }
                     }
                 }
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    return Err(CludiError::Net("aggregator event channel closed".into()));
-                }
             }
         }
+    }
+
+    /// Evicts children silent past the timeout.
+    fn evict_silent(&mut self) {
         let now_us = self.now_us();
         for (child, silent_us) in self.machine.evictions(now_us) {
             let site = self.child_base + child as u32;
@@ -734,7 +611,6 @@ impl Pump {
                 }
             }
         }
-        Ok(())
     }
 
     /// Handles one inbound child payload: handshake and liveness for
@@ -961,6 +837,8 @@ mod tests {
     use cludistream_gmm::{ChunkParams, Gaussian};
     use cludistream_linalg::Vector;
     use cludistream_rng::StdRng;
+    use std::net::TcpStream;
+    use std::thread;
 
     fn stable_stream(center: f64, seed: u64) -> RecordStream {
         let g = Gaussian::spherical(Vector::from_slice(&[center]), 0.5).expect("gaussian");
@@ -1095,6 +973,73 @@ mod tests {
             "flushes {} must not exceed absorbed messages {}",
             agg_report.flushes,
             agg_report.messages_applied
+        );
+    }
+
+    /// The aggregator uplink adds no per-batch wait either: a one-site
+    /// tree round (root ← aggregator ← site) with a 10-record batch must
+    /// finish within the in-process replay time of the site's stream
+    /// plus 1 ms per batch — the bound `transport_tcp` puts on a star
+    /// round.
+    #[test]
+    fn aggregator_round_time_tracks_the_in_process_replay() {
+        const BATCH: usize = 10;
+        let cfg = site_config();
+        let chunk = crate::remote::RemoteSite::new(cfg.site.clone())
+            .expect("site config")
+            .chunk_size() as u64;
+        let updates = 3_000u64.div_ceil(chunk) * chunk;
+        let batches = updates.div_ceil(BATCH as u64);
+
+        let replay_start = Instant::now();
+        let mut replay_site = crate::remote::RemoteSite::new(cfg.site.clone()).expect("site");
+        for record in stable_stream(0.0, 100).take(updates as usize) {
+            replay_site.push(record).expect("push");
+            replay_site.drain_events();
+        }
+        let replay = replay_start.elapsed();
+
+        let round_start = Instant::now();
+        let root_listener = TcpListener::bind("127.0.0.1:0").expect("bind root");
+        let root_addr = root_listener.local_addr().expect("root addr").to_string();
+        let root = thread::spawn(move || {
+            let run = CoordinatorRun::builder(1)
+                .dim(1)
+                .socket(loaded_host_socket())
+                .build()
+                .expect("root run");
+            serve(root_listener, run)
+        });
+        let agg_listener = TcpListener::bind("127.0.0.1:0").expect("bind aggregator");
+        let agg_addr = agg_listener.local_addr().expect("agg addr").to_string();
+        let agg = thread::spawn(move || {
+            let run = AggregatorRun::builder(0, 0, 1)
+                .dim(1)
+                .flush_interval_us(20_000)
+                .socket(loaded_host_socket())
+                .build()
+                .expect("aggregator run");
+            run_aggregator(&root_addr, agg_listener, run)
+        });
+        let run = SiteRun::builder(0, stable_stream(0.0, 100))
+            .config(DriverConfig { batch: BATCH, ..site_config() })
+            .updates(updates)
+            .socket(loaded_host_socket())
+            .build()
+            .expect("site run");
+        let report = run_site(&agg_addr, run).expect("site run ok");
+        let agg_report = agg.join().expect("aggregator thread").expect("aggregator run ok");
+        root.join().expect("root thread").expect("root run ok");
+        let round = round_start.elapsed();
+
+        assert_eq!(report.stats, replay_site.stats(), "the round replays the same stream");
+        assert!(agg_report.flushes >= 1, "the uplink carried the shard upward");
+        assert_eq!(agg_report.resyncs_up, 0);
+        let bound = replay + Duration::from_millis(batches);
+        assert!(
+            round < bound,
+            "{batches} batches through the tree took {round:?}; the replay took {replay:?}, \
+             bound {bound:?}"
         );
     }
 

@@ -112,6 +112,17 @@ impl RoundMachine {
         evicted
     }
 
+    /// The earliest instant, in the caller's microseconds, at which
+    /// [`RoundMachine::evictions`] could evict a site if nothing is heard
+    /// before it; `None` when no site is eligible. The serve loops block
+    /// until it instead of waking on a fixed tick.
+    pub fn next_eviction_us(&self) -> Option<u64> {
+        (0..self.states.len())
+            .filter(|&s| self.states[s] == SiteState::Joined)
+            .map(|s| self.last_seen[s].saturating_add(self.timeout_us).saturating_add(1))
+            .min()
+    }
+
     /// `true` when the round can end: every site is `Done` or `Evicted`.
     pub fn finished(&self) -> bool {
         self.started
@@ -187,6 +198,21 @@ mod tests {
         // only 700 µs silent here and stays joined).
         assert!(m.evictions(1_600).is_empty());
         assert_eq!(m.evicted_sites(), vec![1]);
+    }
+
+    #[test]
+    fn next_eviction_is_the_first_instant_a_sweep_evicts() {
+        let mut m = RoundMachine::new(3, TIMEOUT);
+        assert_eq!(m.next_eviction_us(), None, "nobody joined");
+        m.join(0, 100);
+        m.join(1, 40);
+        m.join(2, 0);
+        m.done(2);
+        let due = m.next_eviction_us().expect("joined sites are eligible");
+        assert_eq!(due, 40 + TIMEOUT + 1, "site 1 was heard least recently; done site 2 is exempt");
+        assert!(m.evictions(due - 1).is_empty(), "nothing is due before it");
+        assert_eq!(m.evictions(due), vec![(1, TIMEOUT + 1)]);
+        assert_eq!(m.next_eviction_us(), Some(100 + TIMEOUT + 1));
     }
 
     #[test]

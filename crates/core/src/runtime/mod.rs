@@ -10,6 +10,9 @@
 //! ([`control::Control`], tags ≥ [`control::CONTROL_TAG_MIN`]) is new.
 //!
 //! - [`control`] — handshake/liveness frame codec.
+//! - `link` (crate-internal) — the connection plumbing every role shares:
+//!   the acceptor, per-connection reader threads feeding one event
+//!   channel, and the upward link of a site or an aggregator.
 //! - `liveness` (crate-internal) — the coordinator's pure round/eviction
 //!   state machine.
 //! - [`tcp`] — the coordinator serve loop, the site loop, and the
@@ -24,6 +27,7 @@
 
 pub mod aggregator;
 pub mod control;
+pub(crate) mod link;
 pub(crate) mod liveness;
 pub mod tcp;
 

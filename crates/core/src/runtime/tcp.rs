@@ -8,14 +8,19 @@
 //! comparable — or a [`Control`] frame (first byte ≥
 //! [`super::control::CONTROL_TAG_MIN`]).
 //!
-//! Topology and threading: [`serve`] runs the coordinator — an acceptor
-//! thread hands connections to per-connection reader threads, which feed
-//! decoded frames over a channel into one single-threaded event loop
+//! Topology and threading: every role is one single-threaded event loop
+//! fed by a channel (the crate-internal `runtime::link`). [`serve`] runs
+//! the coordinator — an acceptor thread hands connections to
+//! per-connection reader threads, which feed decoded frames into the loop
 //! owning the `CoordinatorEngine` and the `RoundMachine`. Keeping the
 //! engine single-threaded preserves the telemetry call order the golden
-//! fixtures depend on. [`run_site`] runs one site synchronously: connect,
-//! handshake, stream records, retransmit on real-time RTO, heartbeat,
-//! reconnect-and-resync on any socket failure.
+//! fixtures depend on. [`run_site`] runs one site the same way: a reader
+//! thread feeds the coordinator's frames into the site's loop, which
+//! connects, handshakes, streams records, retransmits on real-time RTO,
+//! heartbeats, and reconnects-and-resyncs on any socket failure before
+//! `Done`. A loop drains its channel without blocking while it has
+//! records to push, and only when idle blocks until its next deadline
+//! (heartbeat, RTO, eviction) — it never sleeps on a socket.
 //!
 //! Fleet telemetry plane (opt-in): when [`CoordinatorRunBuilder::fleet`]
 //! is set and sites run with [`SiteRunBuilder::telemetry`], each site
@@ -31,8 +36,7 @@
 //! fixtures see a control plane identical to the pre-telemetry one.
 
 use std::collections::HashMap;
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, TcpListener};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -44,17 +48,20 @@ use crate::driver::{
 };
 use crate::engine::CoordinatorEngine;
 use crate::error::CludiError;
-use crate::protocol::{Frame, ReliableInbox};
+use crate::protocol::ReliableInbox;
 use crate::remote::SiteStats;
 use crate::runtime::control::{Control, HealthAlert, RejectCode, PROTOCOL_VERSION};
-use crate::serving::{ModelSnapshot, SnapshotHandle};
+use crate::runtime::link::{
+    events, send_control, spawn_acceptor, write_payload, Conn, Inbound, NetEvent, Uplink,
+    UplinkSpec,
+};
 use crate::runtime::liveness::RoundMachine;
+use crate::serving::{ModelSnapshot, SnapshotHandle};
 use crate::transport::{RunRecipe, Transport, TransportSemantics};
 use crate::windows::WindowSpec;
 use cludistream_gmm::{CovarianceType, Mixture};
 use cludistream_obs::{intern, net, AlertSet, Event, FleetAggregator, Obs, Recorder, TelemetryDelta};
 use cludistream_simnet::{CommStats, NodeId};
-use cludistream_wire::framing::{write_frame, FrameReader};
 use cludistream_wire::{ByteBuf, ByteReader};
 
 /// Socket-runtime tuning shared by the coordinator and the sites. The
@@ -308,38 +315,6 @@ pub struct SiteReport {
     pub resyncs: u64,
 }
 
-/// Events the acceptor/reader threads feed the coordinator loop.
-pub(crate) enum NetEvent {
-    /// A connection arrived; `writer` is the write half (a
-    /// `try_clone`).
-    Accepted { conn: u64, writer: TcpStream },
-    /// One length-prefixed frame's payload arrived on `conn`.
-    Frame { conn: u64, payload: Vec<u8> },
-    /// The connection closed or its reader failed.
-    Closed { conn: u64 },
-}
-
-
-/// A live connection as the coordinator loop sees it.
-pub(crate) struct Conn {
-    pub(crate) writer: TcpStream,
-    pub(crate) site: Option<usize>,
-}
-
-/// Writes one length-prefixed frame to a blocking stream.
-pub(crate) fn write_payload(stream: &TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    write_frame(&mut { stream }, payload)
-}
-
-/// Sends a control frame, counting it under the `net.ctrl_*` counters.
-/// Returns `false` on I/O failure (the caller cuts the connection; the
-/// site reconnects).
-pub(crate) fn send_control(stream: &TcpStream, obs: &Obs, frame: &Control) -> bool {
-    let bytes = frame.encode();
-    net::on_ctrl_send(obs, bytes.len() as u64);
-    write_payload(stream, bytes.as_slice()).is_ok()
-}
-
 /// Serves one clustering round: waits for `run.sites` sites to
 /// rendezvous, broadcasts `Start`, applies their synopses, answers with
 /// ACKs, evicts sites silent past the timeout, and broadcasts `Stop`
@@ -362,36 +337,8 @@ pub fn serve(listener: TcpListener, run: CoordinatorRun) -> Result<CoordReport, 
     let hub = NodeId(sites);
     let mut resyncs = 0u64;
 
-    listener.set_nonblocking(true)?;
-    let done = Arc::new(AtomicBool::new(false));
     let (tx, rx) = mpsc::channel::<NetEvent>();
-    let acceptor = {
-        let done = Arc::clone(&done);
-        let tx = tx.clone();
-        thread::spawn(move || {
-            let mut next_conn = 0u64;
-            while !done.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nodelay(true);
-                        let conn = next_conn;
-                        next_conn += 1;
-                        let Ok(writer) = stream.try_clone() else { continue };
-                        if tx.send(NetEvent::Accepted { conn, writer }).is_err() {
-                            return;
-                        }
-                        let tx = tx.clone();
-                        thread::spawn(move || read_loop(conn, stream, &tx));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => return,
-                }
-            }
-        })
-    };
-    drop(tx);
+    let acceptor = spawn_acceptor(listener, tx)?;
 
     let started_at = Instant::now();
     let mut conns: HashMap<u64, Conn> = HashMap::new();
@@ -402,7 +349,22 @@ pub fn serve(listener: TcpListener, run: CoordinatorRun) -> Result<CoordReport, 
         if socket.deadline.is_some_and(|d| started_at.elapsed() > d) {
             break Err(CludiError::Net("coordinator serve deadline exceeded".into()));
         }
-        match rx.recv_timeout(Duration::from_millis(20)) {
+        // Block until the next event or the earliest timer: the serve
+        // deadline, the next possible eviction, the end of the linger
+        // window.
+        let wake = [
+            socket.deadline.map(|d| started_at + d),
+            machine.next_eviction_us().map(|us| started_at + Duration::from_micros(us)),
+            finished_at.map(|at| at + socket.linger.unwrap_or(Duration::ZERO)),
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        let event = match wake {
+            Some(wake) => rx.recv_timeout(wake.saturating_duration_since(Instant::now())),
+            None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+        };
+        match event {
             Ok(NetEvent::Accepted { conn, writer }) => {
                 conns.insert(conn, Conn { writer, site: None });
             }
@@ -465,13 +427,12 @@ pub fn serve(listener: TcpListener, run: CoordinatorRun) -> Result<CoordReport, 
         }
     };
 
-    // Tear down: stop accepting, cut every socket so blocked readers
-    // exit, and collect the acceptor (reader threads die on their own).
-    done.store(true, Ordering::Relaxed);
+    // Tear down: cut every socket so blocked readers exit (they die on
+    // their own), and stop the acceptor.
     for c in conns.values() {
         let _ = c.writer.shutdown(Shutdown::Both);
     }
-    let _ = acceptor.join();
+    acceptor.stop();
     outcome?;
 
     // The end-of-round checkpoint, in the same wire layout a live
@@ -497,31 +458,6 @@ pub fn serve(listener: TcpListener, run: CoordinatorRun) -> Result<CoordReport, 
         resyncs,
         snapshot,
     })
-}
-
-/// Blocking per-connection reader: length-prefixed frames in, channel
-/// events out, `Closed` on EOF or error.
-pub(crate) fn read_loop(conn: u64, mut stream: TcpStream, tx: &mpsc::Sender<NetEvent>) {
-    let mut fr = FrameReader::new();
-    loop {
-        match fr.poll(&mut stream) {
-            Ok(polled) => {
-                for payload in polled.frames {
-                    if tx.send(NetEvent::Frame { conn, payload }).is_err() {
-                        return;
-                    }
-                }
-                if polled.eof {
-                    let _ = tx.send(NetEvent::Closed { conn });
-                    return;
-                }
-            }
-            Err(_) => {
-                let _ = tx.send(NetEvent::Closed { conn });
-                return;
-            }
-        }
-    }
 }
 
 /// Handles one inbound payload in the coordinator loop: handshake and
@@ -900,70 +836,29 @@ impl SiteRunBuilder {
     }
 }
 
-/// Connects with retries (the coordinator may not be listening yet).
-pub(crate) fn connect(addr: &str, socket: &SocketConfig) -> Result<TcpStream, CludiError> {
-    let attempts = socket.connect_attempts.max(1);
-    let mut last = String::new();
-    for attempt in 0..attempts {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => {
-                last = e.to_string();
-                if attempt + 1 < attempts {
-                    thread::sleep(Duration::from_millis(socket.connect_retry_ms));
-                }
-            }
-        }
-    }
-    Err(CludiError::Net(format!("connect to {addr} failed after {attempts} attempts: {last}")))
-}
-
-/// Builds the send closure for one connection: payload counters, sent
-/// accounting, length-prefixed write, and sticky I/O error capture (a
-/// `FnMut(ByteBuf)` cannot return a `Result`; the pump loop checks the
-/// flag and reconnects).
+/// Builds the send closure for one uplink: payload counters, sent
+/// accounting, and the length-prefixed write (a failure is sticky on the
+/// link; the pump loop checks it and reconnects).
 fn frame_sender<'a>(
-    conn: &'a TcpStream,
+    up: &'a mut Uplink,
     obs: &'a Obs,
     sent_messages: &'a mut u64,
     sent_bytes: &'a mut u64,
-    io_err: &'a mut bool,
 ) -> impl FnMut(ByteBuf) + 'a {
     move |bytes: ByteBuf| {
         let len = bytes.len() as u64;
         net::on_send(obs, len);
         *sent_messages += 1;
         *sent_bytes += len;
-        if !*io_err && write_payload(conn, bytes.as_slice()).is_err() {
-            *io_err = true;
-        }
-    }
-}
-
-/// Drains the registry's staged telemetry and ships it as one
-/// [`Control::Telemetry`] frame. The first flush after a resync carries
-/// the flight-recorder ring (`flush_flight`), which this clears; a
-/// quiet registry (nothing staged) sends nothing.
-fn flush_telemetry(
-    conn: &TcpStream,
-    obs: &Obs,
-    site: usize,
-    flush_flight: &mut bool,
-    io_err: &mut bool,
-) {
-    let include_flight = *flush_flight;
-    let Some(mut delta) = obs.drain_telemetry(include_flight) else { return };
-    *flush_flight = false;
-    delta.site = site as u32;
-    let frame = Control::Telemetry { site: site as u32, payload: delta.encode().into_vec() };
-    if !send_control(conn, obs, &frame) {
-        *io_err = true;
+        up.write(bytes.as_slice());
     }
 }
 
 /// Runs one site against a coordinator at `addr`: rendezvous, stream the
 /// records, keep liveness, and reconnect-with-resync on any socket
-/// failure until the coordinator says `Stop`.
+/// failure until the coordinator says `Stop`. Once `Done` is out every
+/// frame has been acknowledged, so from then on a failed write or a
+/// closed socket ends the round instead.
 pub fn run_site(addr: &str, run: SiteRun) -> Result<SiteReport, CludiError> {
     let SiteRun { site, window, config, delivery, stream, updates, socket, telemetry } = run;
     if delivery.mode != DeliveryMode::Reliable {
@@ -973,8 +868,13 @@ pub fn run_site(addr: &str, run: SiteRun) -> Result<SiteReport, CludiError> {
     }
     let mut core = build_site_core(&config, window, site, true, delivery)?;
     let obs = config.obs.clone();
-    let dim = config.site.dim as u32;
-    let cov = config.site.covariance;
+    let spec = UplinkSpec {
+        role: "site",
+        index: site as u32,
+        dim: config.site.dim as u32,
+        cov: config.site.covariance,
+        telemetry,
+    };
     let batch = config.batch;
     let mut stream = stream;
     let mut remaining = updates;
@@ -983,149 +883,65 @@ pub fn run_site(addr: &str, run: SiteRun) -> Result<SiteReport, CludiError> {
     let mut retransmitted_messages = 0u64;
     let mut retransmitted_bytes = 0u64;
     let mut resyncs = 0u64;
-    let mut reconnects = 0u32;
+    let mut reconnects = 0u64;
     // Local monotonic clock for telemetry stamps, Cristian echoes and
     // RTT samples. Deliberately *not* the coordinator's clock: the
     // coordinator estimates this site's offset from the
     // ClockProbe/ClockEcho exchange and rebases on its side.
     let epoch = Instant::now();
     let local_now = move || epoch.elapsed().as_micros() as u64;
+    // One channel for the site's life; each connection's reader stamps
+    // its events with the reconnect count, so a dead link's stragglers
+    // are told apart.
+    let (tx, rx) = mpsc::channel::<NetEvent>();
 
     'round: loop {
-        let conn = connect(addr, &socket)?;
-        conn.set_nodelay(true)?;
-        conn.set_read_timeout(Some(Duration::from_millis(20)))?;
         let resume = reconnects > 0;
-        {
-            let hello = Control::Hello {
-                version: PROTOCOL_VERSION,
-                site: site as u32,
-                dim,
-                cov,
-                resume,
-            };
-            let bytes = hello.encode();
-            net::on_ctrl_send(&obs, bytes.len() as u64);
-            write_payload(&conn, bytes.as_slice())?;
-        }
-        let mut fr = FrameReader::new();
-
-        // Rendezvous: wait for Welcome (or Reject) under a deadline.
-        let handshake_deadline = Instant::now() + Duration::from_micros(socket.timeout_us.max(1));
-        let mut welcome = None;
-        let mut leftover: Vec<Vec<u8>> = Vec::new();
-        'handshake: while welcome.is_none() {
-            if Instant::now() > handshake_deadline {
-                return Err(CludiError::Net(format!("site {site}: handshake timed out")));
-            }
-            let polled = fr.poll(&mut { &conn })?;
-            let mut frames = polled.frames.into_iter();
-            while let Some(payload) = frames.next() {
-                if !Control::is_control(&payload) {
-                    continue;
-                }
-                match Control::decode(&mut ByteReader::new(&payload))? {
-                    Control::Welcome { heartbeat_us, ack, .. } => {
-                        welcome = Some((heartbeat_us, ack));
-                        // Frames behind the Welcome in the same poll
-                        // (Start, the coordinator's ClockProbe) belong
-                        // to the pump loop; don't drop them.
-                        leftover.extend(frames);
-                        break 'handshake;
-                    }
-                    Control::Reject { code, expect, got } => {
-                        return Err(CludiError::Net(format!(
-                            "site {site}: coordinator rejected handshake: {} mismatch \
-                             (coordinator has {expect}, site sent {got})",
-                            code.describe()
-                        )));
-                    }
-                    _ => {}
-                }
-            }
-            if polled.eof {
-                return Err(CludiError::Net(format!(
-                    "site {site}: connection closed during handshake"
-                )));
-            }
-        }
-        let Some((heartbeat_us, coord_ack)) = welcome else {
-            return Err(CludiError::Net(format!("site {site}: no Welcome received")));
-        };
-        let heartbeat = Duration::from_micros(heartbeat_us.max(1));
-        core.on_ack(coord_ack);
-        let mut io_err = false;
+        let mut up =
+            Uplink::dial(addr, &socket, spec, resume, reconnects, &tx, &rx, &obs, drop)?;
+        core.on_ack(up.ack);
         if resume {
             // Go-back-N resync: the Welcome told us the coordinator's
             // cumulative position; re-send everything past it now.
             resyncs += 1;
             let (m, b) = core.retransmit(&mut frame_sender(
-                &conn, &obs, &mut sent_messages, &mut sent_bytes, &mut io_err,
+                &mut up, &obs, &mut sent_messages, &mut sent_bytes,
             ));
             retransmitted_messages += m;
             retransmitted_bytes += b;
         }
 
-        // The pump: poll the socket, feed the window, drain synopses,
-        // retransmit on RTO, heartbeat, announce Done, obey Stop.
-        let mut done_sent = false;
-        let mut last_ping = Instant::now();
+        // The pump: take the coordinator's frames, feed the window, drain
+        // synopses, retransmit on RTO, heartbeat, announce Done, obey
+        // Stop. With records left it never blocks; once the stream is
+        // drained it blocks until the next heartbeat or RTO.
         let mut retx_at: Option<Instant> = None;
-        let mut streaming_timeout = true;
-        // The first flush after a resync carries the flight-recorder
-        // ring: the coordinator journals what this site saw before the
-        // crash.
-        let mut flush_flight = telemetry && resume;
-        let mut inbound = leftover;
-        conn.set_read_timeout(Some(Duration::from_millis(1)))?;
+        let mut wake: Option<Instant> = None;
         loop {
-            if io_err {
-                break; // reconnect
-            }
             if telemetry {
                 obs.set_sim_time(local_now());
             }
-            let polled = match fr.poll(&mut { &conn }) {
-                Ok(p) => p,
-                Err(_) => {
-                    if done_sent {
-                        break 'round;
-                    }
-                    break; // reconnect
-                }
-            };
-            inbound.extend(polled.frames);
-            for payload in inbound.drain(..) {
-                if Control::is_control(&payload) {
-                    match Control::decode(&mut ByteReader::new(&payload)) {
-                        Ok(Control::Stop) => break 'round,
-                        Ok(Control::Pong { echo_us, .. }) => {
-                            if telemetry {
-                                obs.observe("hb.rtt_us", local_now().saturating_sub(echo_us));
-                            }
+            let (mut stop, mut closed) = (false, false);
+            for event in events(&rx, wake) {
+                match event {
+                    NetEvent::Frame { conn, payload } if conn == up.conn => {
+                        match up.on_frame(&payload, &obs, local_now()) {
+                            Some(Inbound::Stop) => stop = true,
+                            Some(Inbound::Ack(cumulative)) => core.on_ack(cumulative),
+                            None => {}
                         }
-                        Ok(Control::ClockProbe { t0_us }) => {
-                            let echo = Control::ClockEcho {
-                                site: site as u32,
-                                t0_us,
-                                site_us: local_now(),
-                            };
-                            if !send_control(&conn, &obs, &echo) {
-                                io_err = true;
-                            }
-                        }
-                        _ => {}
                     }
-                } else if let Ok(Frame::Ack { cumulative }) =
-                    Frame::decode(&mut ByteReader::new(&payload))
-                {
-                    core.on_ack(cumulative);
+                    NetEvent::Closed { conn } if conn == up.conn => closed = true,
+                    _ => {} // a previous connection's reader winding down
                 }
             }
-            if polled.eof {
-                if done_sent {
+            if stop {
+                break 'round;
+            }
+            if closed || up.io_err {
+                if up.done_sent && core.pending() == 0 {
                     // Everything was acknowledged before Done went out;
-                    // a close now is the coordinator tearing down.
+                    // a failure now is the coordinator tearing down.
                     break 'round;
                 }
                 break; // reconnect
@@ -1141,12 +957,8 @@ pub fn run_site(addr: &str, run: SiteRun) -> Result<SiteReport, CludiError> {
                     remaining -= 1;
                 }
                 core.drain_outbound(&mut frame_sender(
-                    &conn, &obs, &mut sent_messages, &mut sent_bytes, &mut io_err,
+                    &mut up, &obs, &mut sent_messages, &mut sent_bytes,
                 ));
-            } else if streaming_timeout {
-                // Stream drained: stop busy-polling, block up to 20 ms.
-                conn.set_read_timeout(Some(Duration::from_millis(20)))?;
-                streaming_timeout = false;
             }
             if core.pending() > 0 {
                 let due = *retx_at.get_or_insert_with(|| {
@@ -1154,7 +966,7 @@ pub fn run_site(addr: &str, run: SiteRun) -> Result<SiteReport, CludiError> {
                 });
                 if Instant::now() >= due {
                     let (m, b) = core.retransmit(&mut frame_sender(
-                        &conn, &obs, &mut sent_messages, &mut sent_bytes, &mut io_err,
+                        &mut up, &obs, &mut sent_messages, &mut sent_bytes,
                     ));
                     retransmitted_messages += m;
                     retransmitted_bytes += b;
@@ -1163,31 +975,12 @@ pub fn run_site(addr: &str, run: SiteRun) -> Result<SiteReport, CludiError> {
             } else {
                 retx_at = None;
             }
-            if remaining == 0 && core.pending() == 0 && !done_sent {
-                if telemetry {
-                    // Flush before Done: once every site is done the
-                    // coordinator may Stop and tear down, so this is
-                    // the last delta guaranteed to land in the fleet
-                    // registry. Every data-plane counter is final here
-                    // (stream drained, everything acknowledged).
-                    flush_telemetry(&conn, &obs, site, &mut flush_flight, &mut io_err);
-                }
-                if send_control(&conn, &obs, &Control::Done { site: site as u32 }) {
-                    done_sent = true;
-                } else {
-                    io_err = true;
-                }
+            if remaining == 0 && core.pending() == 0 && !up.done_sent {
+                up.send_done(&obs);
             }
-            if last_ping.elapsed() >= heartbeat {
-                let ping = Control::Ping { site: site as u32, sent_us: local_now() };
-                if !send_control(&conn, &obs, &ping) {
-                    io_err = true;
-                }
-                if telemetry {
-                    flush_telemetry(&conn, &obs, site, &mut flush_flight, &mut io_err);
-                }
-                last_ping = Instant::now();
-            }
+            up.heartbeat(&obs, local_now());
+            wake = (remaining == 0)
+                .then(|| retx_at.map_or(up.next_ping(), |due| due.min(up.next_ping())));
         }
         reconnects += 1;
     }
@@ -1356,10 +1149,13 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Message;
+    use crate::protocol::{Frame, Message};
     use crate::remote::ModelId;
     use cludistream_obs::Registry;
+    use cludistream_wire::framing::{write_frame, FrameReader};
     use std::io::Write as _;
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
 
     /// In-memory journal sink readable after the run.
@@ -1820,6 +1616,21 @@ mod tests {
             FrameRx { reader: FrameReader::new(), pending: std::collections::VecDeque::new() }
         }
 
+        /// Blocks until the next frame of any kind.
+        fn next(&mut self, stream: &mut TcpStream) -> Vec<u8> {
+            loop {
+                if let Some(frame) = self.pending.pop_front() {
+                    return frame;
+                }
+                let polled = self.reader.poll(stream).expect("poll");
+                assert!(
+                    !(polled.frames.is_empty() && polled.eof),
+                    "connection closed while awaiting a frame"
+                );
+                self.pending.extend(polled.frames);
+            }
+        }
+
         /// Reads control frames until `want` accepts one, skipping the
         /// rest (Start arrives interleaved with the telemetry plane).
         fn next_control(
@@ -1828,25 +1639,110 @@ mod tests {
             want: impl Fn(&Control) -> bool,
         ) -> Control {
             loop {
-                if let Some(frame) = self.pending.pop_front() {
-                    if !Control::is_control(&frame) {
-                        continue;
-                    }
-                    let ctrl =
-                        Control::decode(&mut ByteReader::new(&frame)).expect("control frame");
-                    if want(&ctrl) {
-                        return ctrl;
-                    }
+                let frame = self.next(stream);
+                if !Control::is_control(&frame) {
                     continue;
                 }
-                let polled = self.reader.poll(stream).expect("poll");
-                assert!(
-                    !(polled.frames.is_empty() && polled.eof),
-                    "connection closed while awaiting a control frame"
-                );
-                self.pending.extend(polled.frames);
+                let ctrl = Control::decode(&mut ByteReader::new(&frame)).expect("control frame");
+                if want(&ctrl) {
+                    return ctrl;
+                }
             }
         }
+    }
+
+    /// Once `Done` is out every frame has been acknowledged, so a
+    /// coordinator that closes without sending `Stop` ends the round:
+    /// `run_site` returns `Ok` and never dials again. The hand-rolled
+    /// coordinator asks for a 1 µs heartbeat, so the idle site pings
+    /// back to back, and closes with pings unread. That resets the
+    /// connection, so a ping write usually fails before the site has
+    /// taken its reader's report of the close.
+    #[test]
+    fn site_ends_the_round_when_the_coordinator_closes_after_done() {
+        use crate::config::Config;
+        use cludistream_gmm::{ChunkParams, Gaussian};
+        use cludistream_linalg::Vector;
+        use cludistream_rng::StdRng;
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let config = DriverConfig {
+            site: Config {
+                dim: 1,
+                k: 1,
+                chunk: ChunkParams { epsilon: 0.15, delta: 0.01 },
+                seed: 41,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let chunk = crate::remote::RemoteSite::new(config.site.clone())
+            .expect("site config")
+            .chunk_size() as u64;
+        let g = Gaussian::spherical(Vector::from_slice(&[0.0]), 0.5).expect("gaussian");
+        let mut rng = StdRng::seed_from_u64(7);
+        let records: RecordStream = Box::new(std::iter::repeat_with(move || g.sample(&mut rng)));
+        let run = SiteRun::builder(0, records)
+            .config(config)
+            .updates(2 * chunk)
+            .socket(SocketConfig {
+                // A redial would reach the still-bound listener and then
+                // time out waiting for a Welcome: fail fast, not in 5 s.
+                timeout_us: 1_000_000,
+                connect_attempts: 1,
+                ..SocketConfig::default()
+            })
+            .build()
+            .expect("site run");
+        let site = thread::spawn(move || run_site(&addr, run));
+
+        let (mut s, _) = listener.accept().expect("the site dials");
+        let mut rx = FrameRx::new();
+        let hello = rx.next(&mut s);
+        assert!(matches!(
+            Control::decode(&mut ByteReader::new(&hello)),
+            Ok(Control::Hello { site: 0, resume: false, .. })
+        ));
+        let welcome = Control::Welcome {
+            version: PROTOCOL_VERSION,
+            heartbeat_us: 1,
+            timeout_us: 1_000_000,
+            ack: 0,
+        };
+        send(&mut s, welcome.encode().as_slice());
+        let mut acked = 0u64;
+        loop {
+            let frame = rx.next(&mut s);
+            if Control::is_control(&frame) {
+                match Control::decode(&mut ByteReader::new(&frame)).expect("control frame") {
+                    Control::Done { site: 0 } => break,
+                    _ => continue, // pings
+                }
+            }
+            match Frame::decode(&mut ByteReader::new(&frame)).expect("data frame") {
+                Frame::Data { seq, .. } => {
+                    assert_eq!(seq, acked, "in-order delivery");
+                    acked += 1;
+                    let ack = Frame::Ack { cumulative: acked };
+                    send(&mut s, ack.encode(CovarianceType::Full).as_slice());
+                }
+                other => panic!("unexpected frame from the site: {other:?}"),
+            }
+        }
+        assert!(acked >= 1, "the site sent at least one synopsis");
+        // Let pings pile up unread, then close without Stop.
+        thread::sleep(Duration::from_millis(20));
+        drop(s);
+
+        let report = site.join().expect("site thread").expect("the round ends cleanly");
+        assert_eq!(report.resyncs, 0, "no resync after Done");
+        assert_eq!(report.retransmitted_messages, 0);
+        listener.set_nonblocking(true).expect("nonblocking");
+        assert!(
+            matches!(listener.accept(), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+            "the site dialled again after Done"
+        );
     }
 
     /// Drives the whole telemetry plane with a hand-rolled site: the

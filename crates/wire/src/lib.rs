@@ -332,40 +332,35 @@ pub mod framing {
             self.buf.len()
         }
 
-        /// Reads whatever the stream currently has and returns every
-        /// complete frame. `WouldBlock`/`TimedOut` (a read timeout on a
-        /// blocking socket) is not an error — it ends the poll with the
-        /// frames extracted so far. A declared length beyond
+        /// Makes one successful read and returns every frame it
+        /// completed. It never reads again after bytes arrived, so a
+        /// reader thread on a blocking socket hands buffered frames over
+        /// at once instead of parking until the peer's next bytes.
+        /// `WouldBlock`/`TimedOut` (a read timeout on a blocking socket)
+        /// is not an error — it ends the poll with no new bytes. A
+        /// declared length beyond
         /// [`MAX_FRAME_BYTES`] is an `InvalidData` error: the stream is
         /// unrecoverable after it, since resynchronizing on a corrupt
         /// prefix is impossible.
         pub fn poll(&mut self, r: &mut impl Read) -> io::Result<Polled> {
             let mut scratch = [0u8; 16 * 1024];
-            let mut eof = false;
-            loop {
+            let eof = loop {
                 match r.read(&mut scratch) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
+                    Ok(0) => break true,
                     Ok(n) => {
                         self.buf.extend_from_slice(&scratch[..n]);
-                        // Keep draining while full reads suggest more is
-                        // pending; a short read means the socket is empty.
-                        if n < scratch.len() {
-                            break;
-                        }
+                        break false;
                     }
                     Err(e)
                         if e.kind() == io::ErrorKind::WouldBlock
                             || e.kind() == io::ErrorKind::TimedOut =>
                     {
-                        break;
+                        break false;
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(e) => return Err(e),
                 }
-            }
+            };
             let frames = self.extract()?;
             Ok(Polled { frames, eof })
         }
@@ -596,7 +591,7 @@ mod tests {
             let wire = encode(&[b"last"]);
             let mut reader = FrameReader::new();
             // io::Cursor returns Ok(0) at end of data — a closed stream.
-            // The first poll ends on the short read that drained the data;
+            // The first poll ends after the one read that drained the data;
             // the closed stream is observed on the next poll.
             let mut src = io::Cursor::new(wire);
             let polled = reader.poll(&mut src).expect("poll");
@@ -604,6 +599,29 @@ mod tests {
             let polled = reader.poll(&mut src).expect("poll");
             assert!(polled.eof);
             assert!(polled.frames.is_empty());
+        }
+
+        #[test]
+        fn poll_hands_over_a_full_read_without_reading_again() {
+            /// Serves one 16 KiB read, then fails the test if read again:
+            /// a blocking socket would park the caller there.
+            struct OneRead(Option<Vec<u8>>);
+            impl Read for OneRead {
+                fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+                    let data = self.0.take().expect("poll read a second time");
+                    out[..data.len()].copy_from_slice(&data);
+                    Ok(data.len())
+                }
+            }
+            let payload = vec![7u8; 16 * 1024 - LENGTH_PREFIX_BYTES];
+            let wire = encode(&[&payload]);
+            assert_eq!(wire.len(), 16 * 1024, "exactly one full read");
+            let mut reader = FrameReader::new();
+            let polled = reader.poll(&mut OneRead(Some(wire))).expect("poll");
+            assert_eq!(polled.frames, vec![payload]);
+            assert!(!polled.eof);
+            let mut closed = io::Cursor::new(Vec::new());
+            assert!(reader.poll(&mut closed).expect("poll").eof);
         }
 
         #[test]

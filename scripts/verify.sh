@@ -229,6 +229,16 @@ for i in 0 1; do
     diff -u "$smokedir/sim_site$i" "$smokedir/agg_site$i"
 done
 
+# Perfbench smoke test: one second of the benchmark's `tcp` workload
+# (one site on the socket runtime over loopback). perfbench exits 0 only
+# when its output checks pass: every round ends with the same SiteStats
+# and first-copy data frames as the in-process replay, applies every
+# synopsis, and sees no eviction or resync. Building it here also keeps
+# a runtime or API refactor from silently breaking the benchmark.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload tcp --seconds 1 --trace 0 > "$smokedir/perfbench.out"
+tail -n 1 "$smokedir/perfbench.out" | grep -q '"correct": true'
+
 # Perf-regression smoke test: the parallel E-step must produce a
 # bit-identical fit with threads=all vs threads=1, and parallelism must
 # never cost more than 10% wall-clock. (On a single-core host both sides

@@ -20,6 +20,7 @@ use cludistream_suite::linalg::Vector;
 use cludistream_suite::obs::{Obs, Registry};
 use cludistream_rng::StdRng;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 const SITES: usize = 3;
 
@@ -159,6 +160,46 @@ fn tcp_transport_matches_simnet_decisions_and_bytes() {
         );
     }
     assert!(tcp.delivery.balanced(), "TCP delivery accounting unbalanced");
+}
+
+/// The socket runtime adds no per-batch wait: a one-site round with a
+/// 10-record batch must finish within the in-process replay time of the
+/// same stream plus 1 ms per batch. A pump that sleeps on its socket
+/// between batches (even 1 ms a batch, the finest timeout a blocking
+/// read accepts) cannot meet it on any host, and the bound holds in
+/// debug builds because the site's compute is on both sides.
+#[test]
+fn tcp_round_time_tracks_the_in_process_replay() {
+    const BATCH: usize = 10;
+    let chunk = RemoteSite::new(site_config()).unwrap().chunk_size() as u64;
+    let updates = 3_000u64.div_ceil(chunk) * chunk;
+    let batches = updates.div_ceil(BATCH as u64);
+
+    let replay_start = Instant::now();
+    let mut site = RemoteSite::new(site_config()).unwrap();
+    for record in two_regime_stream(0, updates / 2).take(updates as usize) {
+        site.push(record).unwrap();
+        site.drain_events();
+    }
+    let replay = replay_start.elapsed();
+
+    let round_start = Instant::now();
+    let report = Simulation::star(1)
+        .with_driver_config(DriverConfig { site: site_config(), ..Default::default() })
+        .with_batch(BATCH)
+        .with_streams(vec![two_regime_stream(0, updates / 2)])
+        .with_updates_per_site(updates)
+        .with_transport(Box::new(TcpTransport::new()))
+        .run()
+        .expect("run succeeds");
+    let round = round_start.elapsed();
+
+    assert_eq!(report.site_stats[0], site.stats(), "the round replays the same stream");
+    let bound = replay + Duration::from_millis(batches);
+    assert!(
+        round < bound,
+        "{batches} batches over TCP took {round:?}; the replay took {replay:?}, bound {bound:?}"
+    );
 }
 
 #[test]
