@@ -275,7 +275,7 @@ impl Coordinator {
                             g.drain_matching(|m| m.key.site == *site && m.key.model == *model);
                     }
                     self.groups.retain(|g| !g.is_empty());
-                self.index_cache = None;
+                    self.index_cache = None;
                 }
                 for (idx, (g, &w)) in
                     mixture.components().iter().zip(mixture.weights()).enumerate()
@@ -297,19 +297,7 @@ impl Coordinator {
                 info.count += count_delta;
                 let scale = info.count as f64 / old as f64;
                 for g in &mut self.groups {
-                    let mut touched = false;
-                    for m in &mut g.members {
-                        if m.key.site == *site && m.key.model == *model {
-                            m.weight *= scale;
-                            touched = true;
-                        }
-                    }
-                    // Only groups holding this model change; recomputing the
-                    // rest would needlessly discard their refined
-                    // representatives.
-                    if touched {
-                        g.recompute();
-                    }
+                    g.rescale(*site, *model, scale);
                 }
                 self.on_model_update(*site, *model);
                 Ok(())
@@ -332,20 +320,11 @@ impl Coordinator {
                             .drain_matching(|m| m.key.site == *site && m.key.model == *model);
                     }
                     self.groups.retain(|g| !g.is_empty());
-                self.index_cache = None;
+                    self.index_cache = None;
                 } else {
                     let scale = new as f64 / old.max(1) as f64;
                     for g in &mut self.groups {
-                        let mut touched = false;
-                        for m in &mut g.members {
-                            if m.key.site == *site && m.key.model == *model {
-                                m.weight *= scale;
-                                touched = true;
-                            }
-                        }
-                        if touched {
-                            g.recompute();
-                        }
+                        g.rescale(*site, *model, scale);
                     }
                     self.on_model_update(*site, *model);
                 }
@@ -389,7 +368,7 @@ impl Coordinator {
         let mut comps = Vec::new();
         let mut weights = Vec::new();
         for g in &self.groups {
-            for m in &g.members {
+            for m in g.members() {
                 comps.push(m.gaussian.clone());
                 weights.push(m.weight.max(1e-12));
             }
@@ -440,17 +419,9 @@ impl Coordinator {
         match best {
             Some((idx, dist)) if dist <= self.config.join_distance * d => {
                 let group = &mut self.groups[idx];
-                group.push(Member {
-                    key,
-                    gaussian,
-                    weight,
-                    remerge_at_merge: 0.0, // placeholder, fixed below
-                });
-                // Capture M_remerge against the post-insertion aggregate so
-                // that M_split == 1/M_remerge holds at merge time.
-                let agg = group.aggregate().clone();
-                let member = group.members.last_mut().expect("just pushed");
-                member.remerge_at_merge = m_remerge(&member.gaussian, &agg);
+                // `push` captures M_remerge against the post-insertion
+                // aggregate.
+                group.push(Member { key, gaussian, weight, remerge_at_merge: 0.0 });
                 group.id
             }
             _ => {
@@ -472,24 +443,18 @@ impl Coordinator {
         let obs = self.obs.clone();
         let mut split_off: Vec<Member> = Vec::new();
         for g in &mut self.groups {
-            if g.is_empty() {
+            // A singleton is its own father; never split it.
+            if g.len() <= 1 {
                 continue;
             }
-            let agg = g.aggregate().clone();
-            let mut to_split: Vec<ComponentKey> = Vec::new();
-            for m in &g.members {
-                if m.key.site != site || m.key.model != model {
-                    continue;
-                }
-                // A singleton is its own father; never split it.
-                if g.members.len() == 1 {
-                    continue;
-                }
-                let s = m_split(&m.gaussian, &agg);
-                if should_split(s, m.remerge_at_merge) {
-                    to_split.push(m.key);
-                }
-            }
+            let agg = g.aggregate();
+            let to_split: Vec<ComponentKey> = g
+                .members()
+                .iter()
+                .filter(|m| m.key.site == site && m.key.model == model)
+                .filter(|m| should_split(m_split(&m.gaussian, agg), m.remerge_at_merge))
+                .map(|m| m.key)
+                .collect();
             if !to_split.is_empty() {
                 obs.counter("coord.splits", to_split.len() as u64);
                 obs.event(&Event::Split { group: g.id, members: to_split.len() as u64 });
@@ -528,7 +493,7 @@ impl Coordinator {
                 at_message: self.messages_applied,
                 into_group: self.groups[i].id,
                 absorbed_group: absorbed.id,
-                members_moved: absorbed.members.len(),
+                members_moved: absorbed.len(),
             });
             self.obs.counter("coord.merges", 1);
             self.churn_events += 1;
@@ -566,20 +531,9 @@ impl Coordinator {
             } else {
                 None
             };
-            let host = &mut self.groups[i];
-            for m in absorbed.members {
-                host.members.push(m);
-            }
-            host.recompute();
-            // Refresh every member's merge-time M_remerge against the new
+            // Refreshes every member's merge-time M_remerge against the new
             // father aggregate (the paper maintains this value per merge).
-            let agg = host.aggregate().clone();
-            let single = host.members.len() == 1;
-            for m in &mut host.members {
-                m.remerge_at_merge =
-                    if single { f64::INFINITY } else { m_remerge(&m.gaussian, &agg) };
-            }
-            host.refined = refined;
+            self.groups[i].absorb(absorbed, refined);
         }
     }
 
@@ -592,7 +546,7 @@ impl Coordinator {
         self.groups
             .iter()
             .map(|g| {
-                let members: usize = g.members.iter().map(|m| per_gaussian(&m.gaussian)).sum();
+                let members: usize = g.members().iter().map(|m| per_gaussian(&m.gaussian)).sum();
                 members + if g.is_empty() { 0 } else { per_gaussian(g.aggregate()) }
             })
             .sum()
@@ -854,14 +808,14 @@ mod tests {
         // Two models merge into one refined group.
         c.apply(&new_model(0, 0, &[0.0], 100)).unwrap();
         c.apply(&new_model(1, 0, &[3.0], 100)).unwrap();
-        assert!(c.groups()[0].refined.is_some(), "merge should refine");
+        assert!(c.groups()[0].refined().is_some(), "merge should refine");
         // A second, far-away model founds... no — max_groups=1 merges it
         // too. Instead update a model NOT in any other group: with one
         // group the refined representative necessarily belongs to the
         // group being updated, so recompute correctly drops it.
         c.apply(&Message::WeightUpdate { site: 0, model: ModelId(0), count_delta: 10 })
             .unwrap();
-        assert!(c.groups()[0].refined.is_none(), "touched group must recompute");
+        assert!(c.groups()[0].refined().is_none(), "touched group must recompute");
 
         // Now two separate groups, one refined-free update path: group B's
         // state must be untouched by an update to group A's model.
@@ -880,6 +834,83 @@ mod tests {
         let untouched_before = before.iter().find(|m| **m > 50.0).unwrap();
         let untouched_after = after.iter().find(|m| **m > 50.0).unwrap();
         assert_eq!(untouched_before, untouched_after);
+    }
+
+    #[test]
+    fn cached_aggregates_match_a_fresh_left_fold() {
+        use cludistream_gmm::SuffStats;
+        use cludistream_rng::{check, Rng};
+        // Random message sequences with a tight max_groups, so inserts,
+        // duplicate replaces, rescales, splits, re-merges and consolidation
+        // merges all fire. After every message each group's cached
+        // aggregate and weight must equal a from-scratch left fold over its
+        // members, bit for bit.
+        let merges = std::cell::Cell::new(0usize);
+        check::cases("coordinator.cached_fold_bits", 24, |rng| {
+            let mut c = Coordinator::new(CoordinatorConfig {
+                max_groups: rng.gen_range(1..4usize),
+                ..Default::default()
+            })
+            .unwrap();
+            let mut sent: Vec<Message> = Vec::new();
+            for _ in 0..40 {
+                let site = rng.gen_range(0..4u32);
+                let model = ModelId(rng.gen_range(0..3u64));
+                let msg = match rng.gen_range(0..4u32) {
+                    1 if !sent.is_empty() => sent[rng.gen_range(0..sent.len())].clone(),
+                    2 => Message::WeightUpdate {
+                        site,
+                        model,
+                        count_delta: rng.gen_range(0..500u64),
+                    },
+                    3 => Message::Delete { site, model, count_delta: rng.gen_range(0..300u64) },
+                    _ => {
+                        let k = rng.gen_range(1..4usize);
+                        let comps = (0..k)
+                            .map(|_| {
+                                let center = 30.0 * rng.gen_range(0..4u32) as f64;
+                                let mean = Vector::from_slice(&[
+                                    center + rng.gen_range(-3.0..3.0),
+                                    rng.gen_range(-3.0..3.0),
+                                ]);
+                                Gaussian::diagonal(
+                                    mean,
+                                    &[rng.gen_range(0.2..4.0), rng.gen_range(0.2..4.0)],
+                                )
+                                .unwrap()
+                            })
+                            .collect();
+                        let weights = (0..k).map(|_| rng.gen_range(0.05..1.0)).collect();
+                        let msg = Message::NewModel {
+                            site,
+                            model,
+                            count: rng.gen_range(1..1000u64),
+                            avg_ll: -1.0,
+                            mixture: Mixture::new(comps, weights).unwrap(),
+                        };
+                        sent.push(msg.clone());
+                        msg
+                    }
+                };
+                // Updates for unknown models are rejected without effect.
+                let _ = c.apply(&msg);
+                for g in c.groups() {
+                    let mut stats = SuffStats::new(2);
+                    for m in g.members() {
+                        stats.merge(&SuffStats::from_gaussian(&m.gaussian, m.weight.max(1e-9)));
+                    }
+                    let (fresh, _) = stats.to_gaussian().unwrap();
+                    let weight: f64 = g.members().iter().map(|m| m.weight).sum();
+                    assert_eq!(g.weight().to_bits(), weight.to_bits(), "group {} weight", g.id);
+                    let agg = g.aggregate();
+                    let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(agg.mean().as_slice()), bits(fresh.mean().as_slice()));
+                    assert_eq!(bits(agg.cov().as_slice()), bits(fresh.cov().as_slice()));
+                }
+            }
+            merges.set(merges.get() + c.merge_log().len());
+        });
+        assert!(merges.get() > 0, "the sweep must exercise consolidation merges");
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl ModelSnapshot {
                 id: g.id,
                 weight: g.weight(),
                 members: g
-                    .members
+                    .members()
                     .iter()
                     .map(|m| SnapshotMember {
                         site: m.key.site,

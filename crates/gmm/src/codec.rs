@@ -84,8 +84,18 @@ pub fn decode_mixture(buf: &mut ByteReader<'_>) -> Result<Mixture> {
     if k == 0 || d == 0 {
         return Err(GmmError::Codec("zero K or d"));
     }
-    let body = 8 * k * (1 + d + cov.param_count(d));
-    if buf.remaining() < body {
+    // K and d come off the wire: size the body with checked arithmetic so
+    // a hostile header can neither overflow nor wrap past the length check
+    // into a huge allocation.
+    let params = match cov {
+        CovarianceType::Full => d.checked_mul(d),
+        CovarianceType::Diagonal => Some(d),
+    };
+    let body = params
+        .and_then(|p| p.checked_add(1 + d))
+        .and_then(|per| per.checked_mul(k))
+        .and_then(|f64s| f64s.checked_mul(8));
+    if body.is_none_or(|b| buf.remaining() < b) {
         return Err(GmmError::Codec("truncated body"));
     }
     let mut weights = Vec::with_capacity(k);
@@ -209,6 +219,51 @@ mod tests {
         buf.put_u32_le(0);
         buf.put_u32_le(2);
         assert!(decode_mixture(&mut buf.reader()).is_err());
+    }
+
+    /// A header claiming `k` components of dimension `d`, followed by
+    /// `body` zero bytes.
+    fn hostile(tag: u8, k: u32, d: u32, body: usize) -> ByteBuf {
+        let mut buf = ByteBuf::new();
+        buf.put_u8(tag);
+        buf.put_u32_le(k);
+        buf.put_u32_le(d);
+        buf.extend_from_slice(&vec![0u8; body]);
+        buf
+    }
+
+    #[test]
+    fn overflowing_header_rejected() {
+        // 8·K·(1 + d + d²) at K = d = u32::MAX does not fit in a usize.
+        for tag in [TAG_FULL, TAG_DIAGONAL] {
+            let buf = hostile(tag, u32::MAX, u32::MAX, 64);
+            assert!(matches!(
+                decode_mixture(&mut buf.reader()),
+                Err(GmmError::Codec("truncated body"))
+            ));
+        }
+    }
+
+    #[test]
+    fn wrapping_header_rejected() {
+        // Headers whose body size wraps modulo 2⁶⁴ to a few bytes, each
+        // followed by exactly that many bytes: wrapping arithmetic would
+        // pass the length check and go on to allocate K slots.
+        //   full:     8 · 8388624 · (1 + 524287 + 524287²) = 2⁶⁴ + 128
+        //   diagonal: 8 · 4294705160 · (1 + 2 · 268451840) = 2⁶⁴ + 64
+        for (tag, k, d, wrapped) in [
+            (TAG_FULL, 8_388_624u32, 524_287u32, 128usize),
+            (TAG_DIAGONAL, 4_294_705_160, 268_451_840, 64),
+        ] {
+            let params = if tag == TAG_FULL { d as u128 * d as u128 } else { d as u128 };
+            let exact = 8 * k as u128 * (1 + d as u128 + params);
+            assert_eq!(exact % (1u128 << 64), wrapped as u128, "test header must wrap");
+            let buf = hostile(tag, k, d, wrapped);
+            assert!(matches!(
+                decode_mixture(&mut buf.reader()),
+                Err(GmmError::Codec("truncated body"))
+            ));
+        }
     }
 
     #[test]

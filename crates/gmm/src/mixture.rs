@@ -239,7 +239,7 @@ impl Mixture {
     pub fn aggregate(&self) -> Result<Gaussian> {
         let mut stats = SuffStats::new(self.dim());
         for (c, &w) in self.components.iter().zip(&self.weights) {
-            stats.merge(&SuffStats::from_gaussian(c, w));
+            stats.add_gaussian(c, w);
         }
         stats.to_gaussian().map(|(g, _)| g)
     }

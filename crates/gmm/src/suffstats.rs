@@ -63,6 +63,35 @@ impl SuffStats {
         self.scatter += &other.scatter;
     }
 
+    /// Merges the statistics a Gaussian would have produced from `n`
+    /// records, without materializing them. Bit-identical to
+    /// `self.merge(&SuffStats::from_gaussian(g, n))`: each entry gets the
+    /// same operations in the same order, minus the temporaries.
+    pub fn add_gaussian(&mut self, g: &Gaussian, n: f64) {
+        let mu = g.mean().as_slice();
+        assert_eq!(self.dim(), mu.len(), "suffstats add_gaussian: dimension mismatch");
+        self.n += n;
+        for (s, &m) in self.sum.as_mut_slice().iter_mut().zip(mu) {
+            *s += m * n;
+        }
+        let cov = g.cov();
+        for (i, &mi) in mu.iter().enumerate() {
+            let xi = n * mi;
+            let row = self.scatter.row_mut(i);
+            for ((s, &c), &mj) in row.iter_mut().zip(cov.row(i)).zip(mu) {
+                *s += c * n + xi * mj;
+            }
+        }
+    }
+
+    /// Resets to empty statistics of the same dimension, keeping the
+    /// buffers.
+    pub fn clear(&mut self) {
+        self.n = 0.0;
+        self.sum.as_mut_slice().fill(0.0);
+        self.scatter.as_mut_slice().fill(0.0);
+    }
+
     /// Removes another set of statistics (sliding-window deletion). The
     /// caller is responsible for only subtracting statistics that were
     /// previously merged.
@@ -216,6 +245,57 @@ mod tests {
         let mut back = s.scaled(0.5);
         back.merge(&half);
         assert!((back.n() - s.n()).abs() < 1e-12);
+    }
+
+    fn assert_bits_eq(a: &SuffStats, b: &SuffStats) {
+        assert_eq!(a.n.to_bits(), b.n.to_bits(), "n");
+        for (x, y) in a.sum.iter().zip(b.sum.iter()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "sum");
+        }
+        for (x, y) in a.scatter.as_slice().iter().zip(b.scatter.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "scatter");
+        }
+    }
+
+    #[test]
+    fn add_gaussian_is_bit_identical_to_merge_from_gaussian() {
+        use cludistream_rng::{check, Rng};
+        // Random full and diagonal Gaussians folded left to right with
+        // weights spanning the coordinator's 1e-9 floor up to large record
+        // counts: both paths must agree to the last bit at every step.
+        check::cases("suffstats.add_gaussian_bits", 64, |rng| {
+            let d = rng.gen_range(1..6usize);
+            let mut via_add = SuffStats::new(d);
+            let mut via_merge = SuffStats::new(d);
+            for _ in 0..rng.gen_range(1..12usize) {
+                let mean: Vector = (0..d).map(|_| rng.gen_range(-50.0..50.0)).collect();
+                let g = if rng.gen_bool(0.5) {
+                    let vars: Vec<f64> = (0..d).map(|_| rng.gen_range(0.01..10.0)).collect();
+                    Gaussian::diagonal(mean, &vars).unwrap()
+                } else {
+                    let a = Matrix::from_vec(
+                        d,
+                        d,
+                        (0..d * d).map(|_| rng.gen_range(-2.0..2.0)).collect(),
+                    );
+                    let mut cov = a.matmul(&a.transpose());
+                    cov.add_ridge(0.1);
+                    Gaussian::new(mean, cov).unwrap()
+                };
+                let n = match rng.gen_range(0..3u32) {
+                    0 => 1e-9,
+                    1 => rng.gen_range(0.0..1.0),
+                    _ => rng.gen_range(1.0..1e6),
+                };
+                via_add.add_gaussian(&g, n);
+                via_merge.merge(&SuffStats::from_gaussian(&g, n));
+                assert_bits_eq(&via_add, &via_merge);
+            }
+            // A cleared accumulator refolds exactly like a fresh one.
+            let fresh = SuffStats::new(d);
+            via_add.clear();
+            assert_bits_eq(&via_add, &fresh);
+        });
     }
 
     #[test]

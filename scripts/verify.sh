@@ -177,13 +177,16 @@ fi
 wait "$hsite_pid" "$hcoord_pid"
 
 # Swarm smoke test (hierarchical aggregation). Phase A — the swarm
-# bench at its smallest scale: the same 1000 synthetic synopses pushed
-# through a flat star root and through a 100-aggregator tree. The
-# binary self-gates that bytes arriving at the root shrink, the tree
-# root's event table stays O(models) instead of O(sites), and the
-# held-out average log-likelihood matches the star's.
-./target/release/swarm --scales 1000 > "$smokedir/swarm.out"
+# bench at 1k and 10k sites: the same synthetic synopses pushed through
+# a flat star root and through a 100-aggregator tree. The binary
+# self-gates that bytes arriving at the root shrink, the tree root's
+# event table stays O(models) instead of O(sites), the held-out average
+# log-likelihood matches the star's, and the star root's apply cost per
+# message at 10k sites is at most 2x that at 1k (no O(group size) work
+# per synopsis).
+./target/release/swarm --scales 1000,10000 > "$smokedir/swarm.out"
 grep -q 'gate sharding: .* ok$' "$smokedir/swarm.out"
+grep -q 'gate apply-scaling: .* ok$' "$smokedir/swarm.out"
 
 # Phase B — a real 4-process loopback tree: a root coordinator serving
 # one child (the aggregator), the aggregator serving two site
